@@ -17,7 +17,9 @@
 //    supported dispatch level (tagged with a "level" field); --simd-floor R
 //    fails the run if the best level's unpack_bits throughput at the
 //    byte-straddling widths (bits >= 3) is below R× the scalar table's —
-//    the SIMD speedup gate.  Skipped on hosts whose best level is scalar.
+//    the SIMD speedup gate; the same floor applies to the per-level crc32c
+//    entries (a frame_codec entry times encode_frame_into + decode_frame
+//    at the session level).  Skipped on hosts whose best level is scalar.
 //    --verify-overhead P fails the run if per-round ABFT digest verification
 //    adds more than P% to the modeled end-to-end hZCCL allreduce at the
 //    paper's scalability point (512 ranks x 8 MiB per rank, RoundSim +
@@ -45,7 +47,9 @@
 #include "hzccl/homomorphic/hz_dynamic.hpp"
 #include "hzccl/homomorphic/hz_ops.hpp"
 #include "hzccl/kernels/dispatch.hpp"
+#include "hzccl/simmpi/faults.hpp"
 #include "hzccl/stats/metrics.hpp"
+#include "hzccl/util/crc32.hpp"
 #include "hzccl/util/pool.hpp"
 #include "hzccl/util/random.hpp"
 #include "hzccl/util/timer.hpp"
@@ -403,6 +407,12 @@ int run_json_mode(const JsonOptions& opts) {
       opts.quick ? std::vector<int>{1, 4, 7} : std::vector<int>{1, 2, 3, 4, 5, 6, 7};
   const std::vector<kernels::DispatchLevel> levels = kernels::supported_levels();
   const kernels::DispatchLevel prior_level = kernels::active_dispatch_level();
+  // CRC-32C and the frame codec run over one ring-block-sized payload.
+  std::vector<uint8_t> crc_input(opts.quick ? (size_t{256} << 10) : (size_t{2} << 20));
+  {
+    Rng rng(3);
+    for (auto& b : crc_input) b = static_cast<uint8_t>(rng.below(256));
+  }
   for (const kernels::DispatchLevel level : levels) {
     kernels::set_dispatch_level(level);
     const char* level_slug = kernels::level_name(level);
@@ -423,8 +433,21 @@ int run_json_mode(const JsonOptions& opts) {
       unpack.level = level_slug;
       entries.push_back(unpack);
     }
+    JsonEntry crc = measure_json("crc32c", -1, "", crc_input.size(), min_seconds,
+                                 [&] { benchmark::DoNotOptimize(crc32c(crc_input)); });
+    crc.level = level_slug;
+    entries.push_back(crc);
   }
   kernels::set_dispatch_level(prior_level);
+
+  // Frame codec at the session level: the sender's fused copy + checksum
+  // into the frame, then the receiver's in-place check — what one clean
+  // frame costs the transport, per payload byte.
+  std::vector<uint8_t> frame(simmpi::frame_size(crc_input.size()));
+  entries.push_back(measure_json("frame_codec", -1, "", crc_input.size(), min_seconds, [&] {
+    simmpi::encode_frame_into(7, crc_input, frame);
+    benchmark::DoNotOptimize(simmpi::decode_frame(frame).valid);
+  }));
 
   // Stream kernels: kernel × dataset, all on their pooled hot paths.
   const std::vector<DatasetId> datasets =
@@ -576,22 +599,23 @@ int run_json_mode(const JsonOptions& opts) {
         return 0.0;
       };
       const char* best_slug = kernels::level_name(best);
-      for (const int bits : bit_widths) {
-        if (bits < 3) continue;
-        const double scalar_gbps = find_gbps("unpack_bits", bits, "scalar");
-        const double best_gbps = find_gbps("unpack_bits", bits, best_slug);
+      const auto floor_check = [&](const char* what, double best_gbps, double scalar_gbps) {
         const double ratio = scalar_gbps > 0 ? best_gbps / scalar_gbps : 0.0;
-        std::printf("simd-floor unpack_bits bits=%d: %s %.3f GB/s vs scalar %.3f GB/s "
-                    "(%.2fx, floor %.2fx)\n",
-                    bits, best_slug, best_gbps, scalar_gbps, ratio, opts.simd_floor);
+        std::printf("simd-floor %s: %s %.3f GB/s vs scalar %.3f GB/s (%.2fx, floor %.2fx)\n",
+                    what, best_slug, best_gbps, scalar_gbps, ratio, opts.simd_floor);
         if (best_gbps < opts.simd_floor * scalar_gbps) {
-          std::fprintf(stderr,
-                       "bench_kernels: unpack_bits bits=%d at %s is %.2fx scalar, "
-                       "floor is %.2fx\n",
-                       bits, best_slug, ratio, opts.simd_floor);
+          std::fprintf(stderr, "bench_kernels: %s at %s is %.2fx scalar, floor is %.2fx\n",
+                       what, best_slug, ratio, opts.simd_floor);
           ++failures;
         }
+      };
+      for (const int bits : bit_widths) {
+        if (bits < 3) continue;
+        const std::string what = "unpack_bits bits=" + std::to_string(bits);
+        floor_check(what.c_str(), find_gbps("unpack_bits", bits, best_slug),
+                    find_gbps("unpack_bits", bits, "scalar"));
       }
+      floor_check("crc32c", find_gbps("crc32c", -1, best_slug), find_gbps("crc32c", -1, "scalar"));
     }
   }
   // Per-round verify overhead gate: at the paper's scalability point the

@@ -4,14 +4,16 @@
 // through a handful of primitives: the ultra-fast bit-shifting pack/unpack
 // (paper §III-B3), the quantized-delta merge at the heart of hz_add
 // (§III-C), and fZ-light's fused quantize + 1-D Lorenzo predict scan
-// (§III-B2).  This header exposes those primitives as a table of function
-// pointers with one table per *dispatch level*:
+// (§III-B2) — plus the CRC-32C that every transport frame is checked with.
+// This header exposes those primitives as a table of function pointers with
+// one table per *dispatch level*:
 //
 //   kScalar — the portable C++ reference.  Always compiled, always
 //             supported; it is both the fallback and the oracle every
 //             vectorized variant is differentially tested against
 //             (tests/kernel_conformance_test.cpp).
-//   kAvx2   — AVX2 + BMI2: PDEP/PEXT bit-plane codecs.
+//   kAvx2   — AVX2 + BMI2: PDEP/PEXT bit-plane codecs; SSE4.2 + PCLMUL:
+//             three-stream crc32 with carry-less recombination.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): VPERMB + VPMULTISHIFTQB unpack,
 //             8-lane int64 merge, VCVTPD2QQ exact-llrint quantizer.
 //
@@ -70,6 +72,11 @@ using PredictFn = uint32_t (*)(const int64_t* q, size_t n, int32_t q_prev, uint3
 /// zeros are canonicalized to +0 in all three outputs so every level is
 /// byte-identical regardless of lane/reduction order.
 using SzxScanFn = void (*)(const float* data, size_t n, float* out);
+/// CRC-32C (Castagnoli) of src[0, n) continuing from `seed` (0, or what a
+/// previous call returned: crc(a‖b) == crc(b, crc(a))).  A non-null `dst`
+/// also receives a copy of the n bytes in the same pass (non-overlapping).
+/// Every level returns the same value; only the throughput differs.
+using Crc32cFn = uint32_t (*)(const uint8_t* src, size_t n, uint32_t seed, uint8_t* dst);
 
 /// One dispatch level's kernel set.  pack/unpack are indexed by bit width
 /// (entries 1..kMaxPackBits; entry 0 is null).  Entries a level does not
@@ -83,6 +90,7 @@ struct KernelTable {
   QuantizeFn fz_quantize = nullptr;
   PredictFn fz_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
+  Crc32cFn crc32c = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

@@ -35,6 +35,7 @@
 // virtual times.  Per-rank counters land in hzccl::TransportStats.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -221,7 +222,9 @@ struct RetryPolicy {
 
 // ---------------------------------------------------------------------------
 // Wire framing: every payload travels as [FrameHeader][payload] so receivers
-// can detect truncation and in-flight corruption.
+// can detect truncation and in-flight corruption.  The codec touches each
+// payload byte once per side: the sender copies and checksums in one pass,
+// the receiver checks in place (or while copying into its own buffer).
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kFrameMagic = 0x485A4652;  // "HZFR"
@@ -238,17 +241,21 @@ struct FrameHeader {
 #pragma pack(pop)
 static_assert(sizeof(FrameHeader) == 24, "wire frame header must be 24 bytes");
 
+/// An encoded FrameHeader, as it travels in front of the payload.
+using FrameHeaderBytes = std::array<uint8_t, sizeof(FrameHeader)>;
+
 /// Total wire size of a frame carrying `payload_bytes` of payload.
 constexpr size_t frame_size(size_t payload_bytes) {
   return sizeof(FrameHeader) + payload_bytes;
 }
 
-/// Wrap `payload` into a framed wire message carrying `seq`.
-std::vector<uint8_t> encode_frame(uint64_t seq, std::span<const uint8_t> payload);
+/// Header of a frame carrying `payload_len` payload bytes whose CRC-32C is
+/// `payload_crc` (the header CRC is filled in here).
+FrameHeaderBytes encode_frame_header(uint64_t seq, size_t payload_len, uint32_t payload_crc);
 
-/// Non-allocating hot core of encode_frame: frame `payload` into `out`,
-/// whose size must be exactly frame_size(payload.size()).  This is the
-/// steady-state transmit path — encode_frame is the allocating wrapper.
+/// Frame `payload` into `out`, whose size must be exactly
+/// frame_size(payload.size()): the header, then the payload copied and
+/// checksummed in one pass.  Never allocates.
 void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload, std::span<uint8_t> out);
 
 /// Result of validating a framed message.
@@ -258,7 +265,17 @@ struct FrameView {
   std::span<const uint8_t> payload;   ///< meaningful only when valid
 };
 
-/// Validate a framed message; never throws — corruption yields !valid.
+/// Validate a frame whose header and payload sit in separate buffers (the
+/// runtime's wire representation), in place.  A non-empty `copy_to` (which
+/// must be exactly payload.size() bytes) receives the payload in the same
+/// pass that checks it; its contents are unspecified when the frame is
+/// invalid.  Corruption never throws — it yields !valid.
+[[nodiscard]] FrameView decode_frame_parts(std::span<const uint8_t> header,
+                                           std::span<const uint8_t> payload,
+                                           std::span<uint8_t> copy_to = {});
+
+/// Validate a contiguous framed message in place; never throws — corruption
+/// yields !valid.
 [[nodiscard]] FrameView decode_frame(std::span<const uint8_t> frame);
 
 }  // namespace hzccl::simmpi

@@ -67,14 +67,29 @@ namespace hzccl::simmpi {
 
 class Runtime;
 
-/// One framed message on the (simulated) wire.
+/// One framed message on the (simulated) wire.  Header and payload travel in
+/// separate buffers so the receiver can check the payload in place and hand
+/// the vector over without copying it; on the wire they are one frame of
+/// frame_size(payload.size()) bytes, and a corrupting fault picks its bit
+/// over header ‖ payload.
 struct WireMessage {
-  int src = 0;                 ///< physical sender rank
+  int src = 0;                   ///< physical sender rank
   int tag = 0;
-  uint64_t seq = 0;            ///< per-link sequence number (metadata mirror)
-  uint32_t epoch = 0;          ///< sender's group epoch (metadata mirror)
-  std::vector<uint8_t> frame;  ///< framed bytes, possibly corrupted in flight
+  uint64_t seq = 0;              ///< per-link sequence number (metadata mirror)
+  uint32_t epoch = 0;            ///< sender's group epoch (metadata mirror)
+  FrameHeaderBytes header{};     ///< encoded header, possibly corrupted in flight
+  std::vector<uint8_t> payload;  ///< payload bytes, possibly corrupted in flight
   double send_vtime = 0.0;
+
+  size_t wire_size() const { return frame_size(payload.size()); }
+};
+
+/// What one receive delivered: the payload vector, or — when the caller
+/// supplied a buffer of exactly the payload's size — nothing, because the
+/// payload was copied into that buffer by the pass that checked it.
+struct Delivery {
+  std::vector<uint8_t> payload;
+  bool landed = false;  ///< the payload already sits in the caller's buffer
 };
 
 /// Per-rank communicator handle, valid only inside Runtime::run.
@@ -183,6 +198,9 @@ class Comm {
   /// Roll the per-rank stall die around one transport operation.
   void maybe_stall(FaultKind kind);
 
+  /// Shared body of recv/recv_into (`into` empty for recv).
+  Delivery receive(int src, int tag, std::span<uint8_t> into);
+
   /// Translate a virtual rank of the current group to its physical rank.
   int to_phys(int vrank) const { return group_[static_cast<size_t>(vrank)]; }
 
@@ -285,8 +303,11 @@ class Runtime {
   /// Release every frame `sender` is holding in limbo (reorder fault).
   void flush_limbo(Comm& sender);
 
-  /// One blocking receive with the full recovery state machine.
-  std::vector<uint8_t> take(Comm& receiver, int src, int tag);
+  /// One blocking receive with the full recovery state machine.  A clean
+  /// frame's payload is checked outside the mailbox lock; when `into` is
+  /// non-empty and exactly the payload's size, the check copies the payload
+  /// into it (Delivery::landed), otherwise the payload vector is moved out.
+  Delivery take(Comm& receiver, int src, int tag, std::span<uint8_t> into = {});
 
   std::vector<uint8_t> refetch(Comm& receiver, int src, int tag, Comm::Refetch mode,
                                size_t raw_bytes_hint);

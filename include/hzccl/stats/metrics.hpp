@@ -78,6 +78,11 @@ struct TransportStats {
   uint64_t timeout_waits = 0;      ///< receives that timed out on a dropped/held frame
   uint64_t raw_fallbacks = 0;      ///< persistent decode failures healed with a raw block
   uint64_t stalls = 0;             ///< injected per-rank stalls
+  /// Payload bytes the transport copied: the sender's wire copy (checksummed
+  /// in the same pass), the in-flight window's pristine copy and duplicate
+  /// frames under a FaultPlan, retransmitted copies, and the copy into a
+  /// recv_into buffer.  A clean frame received with recv() is copied once.
+  uint64_t payload_bytes_copied = 0;
 
   /// True when no fault fired and no recovery was needed.
   bool clean() const;

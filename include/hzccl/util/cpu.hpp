@@ -9,7 +9,9 @@
 
 namespace hzccl {
 
-/// AVX2 kernel family: AVX2 + BMI2 (PDEP/PEXT drive the bit-plane codecs).
+/// AVX2 kernel family: AVX2 + BMI2 (PDEP/PEXT drive the bit-plane codecs)
+/// + SSE4.2 + PCLMUL (crc32 streams and their carry-less recombination
+/// drive the CRC-32C).
 bool cpu_supports_avx2();
 
 /// AVX-512 kernel family: F + BW + DQ + VL + VBMI (VPERMB/VPMULTISHIFTQB

@@ -1,19 +1,22 @@
-// AVX2 + BMI2 kernel variants.  Built with per-file -mavx2 -mbmi2 (see
-// CMakeLists.txt); when those flags are unavailable the populate hook
-// degrades to a stub and the level reports not-compiled.
+// AVX2 + BMI2 + SSE4.2 + PCLMUL kernel variants.  Built with per-file
+// -mavx2 -mbmi2 -msse4.2 -mpclmul (see CMakeLists.txt); when those flags are
+// unavailable the populate hook degrades to a stub and the level reports
+// not-compiled.
 //
-// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8.
+// Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8 and
+// the three-stream crc32 CRC-32C (inherited by the AVX-512 level).
 // The integer merge/predict bodies are recompiled under AVX2 so the
 // auto-vectorizer retargets them; wider codec widths alias the scalar
 // bitstream codec via the overlay in dispatch.cpp.
 #include <utility>
 
 #include "hzccl/kernels/dispatch.hpp"
+#include "crc32c_impls.hpp"
 #include "kernel_impls.hpp"
 
 namespace hzccl::kernels::detail {
 
-#if defined(__AVX2__) && defined(__BMI2__)
+#if defined(__AVX2__) && defined(__BMI2__) && defined(__SSE4_2__) && defined(__PCLMUL__)
 
 namespace {
 
@@ -41,6 +44,7 @@ bool populate_avx2(KernelTable& t) {
   t.hz_combine_residuals = &combine_avx2;
   t.fz_predict = &predict_avx2;
   t.szx_scan = &szx_scan_avx2_body;
+  t.crc32c = &crc32c_sse42_body;
   // fz_quantize: AVX2 has no exact packed double->int64 convert, so the
   // inherited scalar entry (llrint) stays — exactness beats throughput here.
   return true;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "hzccl/kernels/dispatch.hpp"
+#include "crc32c_impls.hpp"
 #include "kernel_impls.hpp"
 
 namespace hzccl::kernels::detail {
@@ -25,6 +26,7 @@ bool populate_scalar(KernelTable& t) {
   t.fz_quantize = &quantize_body;
   t.fz_predict = &predict_body;
   t.szx_scan = &szx_scan_body;
+  t.crc32c = &crc32c_scalar_body;
   return true;
 }
 

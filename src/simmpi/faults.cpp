@@ -269,48 +269,55 @@ std::string RetryPolicy::describe() const {
   return buf;
 }
 
-HZCCL_HOT void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload,
-                                 std::span<uint8_t> out) {
+HZCCL_HOT FrameHeaderBytes encode_frame_header(uint64_t seq, size_t payload_len,
+                                               uint32_t payload_crc) {
   FrameHeader h;
   h.seq_lo = static_cast<uint32_t>(seq);
   h.seq_hi = static_cast<uint32_t>(seq >> 32);
-  h.payload_len = static_cast<uint32_t>(payload.size());
-  if (h.payload_len != payload.size()) {
+  h.payload_len = static_cast<uint32_t>(payload_len);
+  if (h.payload_len != payload_len) {
     hzccl::detail::raise_error("encode_frame: payload exceeds the 32-bit frame length field");
   }
+  h.payload_crc = payload_crc;
+  h.header_crc = crc32c(leading_bytes_of<offsetof(FrameHeader, header_crc)>(h));
+  FrameHeaderBytes bytes;
+  std::memcpy(bytes.data(), &h, sizeof(FrameHeader));
+  return bytes;
+}
+
+HZCCL_HOT void encode_frame_into(uint64_t seq, std::span<const uint8_t> payload,
+                                 std::span<uint8_t> out) {
   if (out.size() != frame_size(payload.size())) {
     hzccl::detail::raise_capacity("encode_frame: output span does not match frame size");
   }
-  h.payload_crc = crc32c(payload);
-  h.header_crc = crc32c(leading_bytes_of<offsetof(FrameHeader, header_crc)>(h));
-
-  std::memcpy(out.data(), &h, sizeof(FrameHeader));
-  if (!payload.empty()) {
-    std::memcpy(out.data() + sizeof(FrameHeader), payload.data(), payload.size());
-  }
+  const uint32_t payload_crc = crc32c_copy(out.subspan(sizeof(FrameHeader)), payload);
+  const FrameHeaderBytes header = encode_frame_header(seq, payload.size(), payload_crc);
+  std::memcpy(out.data(), header.data(), header.size());
 }
 
-std::vector<uint8_t> encode_frame(uint64_t seq, std::span<const uint8_t> payload) {
-  std::vector<uint8_t> frame(frame_size(payload.size()));
-  encode_frame_into(seq, payload, frame);
-  return frame;
-}
-
-HZCCL_HOT FrameView decode_frame(std::span<const uint8_t> frame) {
+HZCCL_HOT FrameView decode_frame_parts(std::span<const uint8_t> header,
+                                       std::span<const uint8_t> payload,
+                                       std::span<uint8_t> copy_to) {
   FrameView view;
-  if (frame.size() < sizeof(FrameHeader)) return view;
-  const FrameHeader h = ByteReader(frame, "frame").read<FrameHeader>("frame header");
+  if (header.size() != sizeof(FrameHeader)) return view;
+  const FrameHeader h = ByteReader(header, "frame").read<FrameHeader>("frame header");
   if (h.magic != kFrameMagic) return view;
   if (h.header_crc != crc32c(leading_bytes_of<offsetof(FrameHeader, header_crc)>(h))) {
     return view;
   }
-  if (frame.size() != sizeof(FrameHeader) + h.payload_len) return view;
-  const std::span<const uint8_t> payload = frame.subspan(sizeof(FrameHeader));
-  if (h.payload_crc != crc32c(payload)) return view;
+  if (payload.size() != h.payload_len) return view;
+  const uint32_t payload_crc =
+      copy_to.empty() ? crc32c(payload) : crc32c_copy(copy_to, payload);
+  if (h.payload_crc != payload_crc) return view;
   view.valid = true;
   view.seq = (static_cast<uint64_t>(h.seq_hi) << 32) | h.seq_lo;
   view.payload = payload;
   return view;
+}
+
+HZCCL_HOT FrameView decode_frame(std::span<const uint8_t> frame) {
+  if (frame.size() < sizeof(FrameHeader)) return FrameView{};
+  return decode_frame_parts(frame.first(sizeof(FrameHeader)), frame.subspan(sizeof(FrameHeader)));
 }
 
 }  // namespace hzccl::simmpi

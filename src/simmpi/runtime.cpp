@@ -9,6 +9,7 @@
 #include "hzccl/integrity/sdc.hpp"
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/bytes.hpp"
+#include "hzccl/util/crc32.hpp"
 #include "hzccl/util/error.hpp"
 
 namespace hzccl::simmpi {
@@ -187,7 +188,7 @@ void Comm::send(int dst, int tag, std::span<const uint8_t> payload) {
   }
 }
 
-std::vector<uint8_t> Comm::recv(int src, int tag) {
+Delivery Comm::receive(int src, int tag, std::span<uint8_t> into) {
   if (src < 0 || src >= size_) throw hzccl::Error("recv: bad source rank");
   runtime_->check_rank_fault(*this);
   // The NIC drains any reorder-held frames while this rank is about to wait;
@@ -195,18 +196,22 @@ std::vector<uint8_t> Comm::recv(int src, int tag) {
   // deadlock-free (a blocked rank never sits on undelivered traffic).
   runtime_->flush_limbo(*this);
   maybe_stall(FaultKind::kStallRecv);
-  std::vector<uint8_t> payload = runtime_->take(*this, to_phys(src), tag);
-  bytes_received_ += payload.size();
-  return payload;
+  Delivery d = runtime_->take(*this, to_phys(src), tag, into);
+  bytes_received_ += d.landed ? into.size() : d.payload.size();
+  return d;
 }
 
+std::vector<uint8_t> Comm::recv(int src, int tag) { return receive(src, tag, {}).payload; }
+
 void Comm::recv_into(int src, int tag, std::span<uint8_t> out) {
-  std::vector<uint8_t> msg = recv(src, tag);
-  if (msg.size() != out.size()) {
-    throw hzccl::Error("recv_into: message size " + std::to_string(msg.size()) +
+  Delivery d = receive(src, tag, out);
+  if (d.landed) return;
+  if (d.payload.size() != out.size()) {
+    throw hzccl::Error("recv_into: message size " + std::to_string(d.payload.size()) +
                        " != buffer size " + std::to_string(out.size()));
   }
-  std::memcpy(out.data(), msg.data(), msg.size());
+  if (!out.empty()) std::memcpy(out.data(), d.payload.data(), out.size());
+  transport_.payload_bytes_copied += out.size();
 }
 
 std::vector<uint8_t> Comm::refetch(int src, int tag, Refetch mode, size_t raw_bytes_hint) {
@@ -696,19 +701,26 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
   const bool on = faults_.enabled();
   ++sender.transport_.frames_sent;
 
-  std::vector<uint8_t> wire_payload(payload.begin(), payload.end());
-  if (on) {
-    sender.transport_.faults_injected +=
-        apply_payload_faults(wire_payload, faults_, src, dst, attempt_counter(seq, 0));
-  }
-
   WireMessage msg;
   msg.src = src;
   msg.tag = tag;
   msg.seq = seq;
   msg.epoch = sender.epoch_view_;
   msg.send_vtime = sender.clock_.now();
-  msg.frame = encode_frame(seq, wire_payload);
+  // Eager send: the payload is copied onto the wire and checksummed in the
+  // same pass.
+  msg.payload.resize(payload.size());
+  uint32_t payload_crc = crc32c_copy(msg.payload, payload);
+  sender.transport_.payload_bytes_copied += payload.size();
+  if (on) {
+    // Sender-side payload faults land before framing: the CRC is taken over
+    // the damaged bytes, so the frame still checks out on the wire.
+    const uint64_t fired =
+        apply_payload_faults(msg.payload, faults_, src, dst, attempt_counter(seq, 0));
+    sender.transport_.faults_injected += fired;
+    if (fired > 0) payload_crc = crc32c(msg.payload);
+  }
+  msg.header = encode_frame_header(seq, msg.payload.size(), payload_crc);
 
   // Roll the wire dice.  Drop preempts everything; the others compose.
   const bool dropped =
@@ -734,8 +746,11 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
                                        (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 24) |
                                        static_cast<uint64_t>(static_cast<uint32_t>(dst)),
                                    seq) %
-                         (msg.frame.size() * 8);
-    msg.frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+                         (msg.wire_size() * 8);
+    const size_t byte = bit / 8;
+    uint8_t& target =
+        byte < msg.header.size() ? msg.header[byte] : msg.payload[byte - msg.header.size()];
+    target ^= static_cast<uint8_t>(1u << (bit % 8));
   }
 
   Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
@@ -746,6 +761,7 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
     entry.seq = seq;
     entry.epoch = msg.epoch;
     entry.pristine.assign(payload.begin(), payload.end());
+    sender.transport_.payload_bytes_copied += payload.size();
     entry.send_vtime = msg.send_vtime;
     entry.outcome = dropped ? WireOutcome::kDropped
                             : (held ? WireOutcome::kHeld : WireOutcome::kDelivered);
@@ -767,6 +783,7 @@ void Runtime::transmit(Comm& sender, int dst, int tag, std::span<const uint8_t> 
     // Both copies enter the mailbox atomically, so the receiver's view of
     // "original accepted, duplicate pending" is the same on every replay.
     WireMessage copy = msg;
+    sender.transport_.payload_bytes_copied += copy.payload.size();
     {
       std::lock_guard<std::mutex> lock(box.mutex);
       box.messages.push_back(std::move(msg));
@@ -814,7 +831,7 @@ void Runtime::flush_limbo(Comm& sender) {
   }
 }
 
-std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
+Delivery Runtime::take(Comm& receiver, int src, int tag, std::span<uint8_t> into) {
   const int me = receiver.phys_rank_;
   Mailbox& box = *mailboxes_[static_cast<size_t>(me)];
   std::unordered_set<uint64_t>& accepted = receiver.accepted_[static_cast<size_t>(src)];
@@ -828,6 +845,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
     ++e.attempts;
     ++receiver.transport_.retransmits;
     std::vector<uint8_t> payload = e.pristine;
+    receiver.transport_.payload_bytes_copied += payload.size();
     apply_payload_faults(payload, faults_, src, me, attempt_counter(e.seq, e.attempts - 1));
     const size_t frame_bytes = sizeof(FrameHeader) + payload.size();
     const double t0 = receiver.clock_.now();
@@ -856,7 +874,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
     for (WindowEntry& w : box.window) {
       if (w.src == src && w.seq == keep_seq) w.consumed = true;
     }
-    return payload;
+    return Delivery{std::move(payload), false};
   };
 
   for (;;) {
@@ -882,7 +900,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
           ev.t0 = t0;
           ev.t1 = receiver.clock_.now();
           ev.seq = dup->seq;
-          ev.bytes = dup->frame.size();
+          ev.bytes = dup->wire_size();
           ev.peer = src;
           ev.tag = dup->tag;
           ev.kind = trace::EventKind::kDiscard;
@@ -901,7 +919,6 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
     if (it != box.messages.end()) {
       WireMessage msg = std::move(*it);
       box.messages.erase(it);
-      const FrameView frame = decode_frame(msg.frame);
 
       if (accepted.count(msg.seq)) {
         // A duplicate (possibly also corrupted) of something already
@@ -914,7 +931,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
           ev.t0 = t0;
           ev.t1 = receiver.clock_.now();
           ev.seq = msg.seq;
-          ev.bytes = msg.frame.size();
+          ev.bytes = msg.wire_size();
           ev.peer = src;
           ev.tag = msg.tag;
           ev.kind = trace::EventKind::kDiscard;
@@ -922,6 +939,15 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
         }
         continue;
       }
+
+      // Check both CRCs outside the lock, so senders keep posting to this
+      // mailbox meanwhile.  Nothing the check reads is shared: the message
+      // is already off the queue.
+      const bool land = !into.empty() && into.size() == msg.payload.size();
+      lock.unlock();
+      const FrameView frame =
+          decode_frame_parts(msg.header, msg.payload, land ? into : std::span<uint8_t>{});
+      lock.lock();
 
       if (frame.valid) {
         accepted.insert(frame.seq);
@@ -932,9 +958,8 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
         const double data_ready = std::max(t_enter, msg.send_vtime);
         const double ready =
             data_ready +
-            net_.link_seconds(msg.frame.size(), src, me, nranks_) * receiver.cost_factor_;
+            net_.link_seconds(msg.wire_size(), src, me, nranks_) * receiver.cost_factor_;
         receiver.clock_.advance_to(ready, CostBucket::kMpi);
-        std::vector<uint8_t> payload(frame.payload.begin(), frame.payload.end());
         if (receiver.trace_.enabled()) {
           if (data_ready > t_enter) {
             trace::Event w;
@@ -950,7 +975,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
           ev.t0 = data_ready;
           ev.t1 = receiver.clock_.now();
           ev.seq = msg.seq;
-          ev.bytes = payload.size();
+          ev.bytes = msg.payload.size();
           ev.peer = src;
           ev.tag = msg.tag;
           ev.kind = trace::EventKind::kRecv;
@@ -965,7 +990,9 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
             if (w.src == src && w.seq == keep_seq) w.consumed = true;
           }
         }
-        return payload;
+        if (!land) return Delivery{std::move(msg.payload), false};
+        receiver.transport_.payload_bytes_copied += into.size();
+        return Delivery{{}, true};
       }
 
       // The CRC/length validation rejected the frame: pay for having
@@ -973,7 +1000,7 @@ std::vector<uint8_t> Runtime::take(Comm& receiver, int src, int tag) {
       ++receiver.transport_.corrupt_frames;
       const double got_bad =
           std::max(receiver.clock_.now(), msg.send_vtime) +
-          net_.link_seconds(msg.frame.size(), src, me, nranks_) * receiver.cost_factor_;
+          net_.link_seconds(msg.wire_size(), src, me, nranks_) * receiver.cost_factor_;
       const auto wit = std::find_if(box.window.begin(), box.window.end(), [&](const WindowEntry& w) {
         return w.src == src && w.seq == msg.seq && !w.consumed;
       });
@@ -1074,6 +1101,7 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
     ++entry->attempts;
     ++receiver.transport_.retransmits;
     std::vector<uint8_t> payload = entry->pristine;
+    receiver.transport_.payload_bytes_copied += payload.size();
     apply_payload_faults(payload, faults_, src, me,
                          attempt_counter(entry->seq, entry->attempts - 1));
     const size_t frame_bytes = sizeof(FrameHeader) + payload.size();
@@ -1095,6 +1123,7 @@ std::vector<uint8_t> Runtime::refetch(Comm& receiver, int src, int tag, Comm::Re
       net_.link_retransmit_seconds(raw_bytes, src, me, nranks_) * receiver.cost_factor_,
       CostBucket::kMpi);
   record_refetch(t0, entry->pristine.size(), trace::kAuxRawFallback);
+  receiver.transport_.payload_bytes_copied += entry->pristine.size();
   return entry->pristine;
 }
 

@@ -123,6 +123,7 @@ TransportStats& TransportStats::operator+=(const TransportStats& other) {
   timeout_waits += other.timeout_waits;
   raw_fallbacks += other.raw_fallbacks;
   stalls += other.stalls;
+  payload_bytes_copied += other.payload_bytes_copied;
   return *this;
 }
 
@@ -133,10 +134,10 @@ TransportStats total_transport(std::span<const TransportStats> per_rank) {
 }
 
 std::string describe(const TransportStats& s) {
-  char buf[256];
+  char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "sent=%llu accepted=%llu faults=%llu retx=%llu corrupt=%llu dup=%llu "
-                "timeout=%llu raw=%llu stalls=%llu",
+                "timeout=%llu raw=%llu stalls=%llu copied=%llu",
                 static_cast<unsigned long long>(s.frames_sent),
                 static_cast<unsigned long long>(s.frames_accepted),
                 static_cast<unsigned long long>(s.faults_injected),
@@ -145,7 +146,8 @@ std::string describe(const TransportStats& s) {
                 static_cast<unsigned long long>(s.duplicate_discards),
                 static_cast<unsigned long long>(s.timeout_waits),
                 static_cast<unsigned long long>(s.raw_fallbacks),
-                static_cast<unsigned long long>(s.stalls));
+                static_cast<unsigned long long>(s.stalls),
+                static_cast<unsigned long long>(s.payload_bytes_copied));
   return buf;
 }
 

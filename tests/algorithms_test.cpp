@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "hzccl/collectives/algorithms.hpp"
@@ -36,6 +37,10 @@ struct AlgoCase {
   const char* name;
   int nranks;
 };
+
+// Without this gtest prints the raw bytes, whose function and string pointers
+// move with every launch, so the listed test names would differ run to run.
+void PrintTo(const AlgoCase& c, std::ostream* os) { *os << c.name << " N=" << c.nranks; }
 
 class AlgoSweepTest : public ::testing::TestWithParam<AlgoCase> {};
 

@@ -13,6 +13,8 @@
 
 #include <cctype>
 #include <cmath>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "hzccl/collectives/movement.hpp"
@@ -27,7 +29,7 @@ using coll::CollectiveConfig;
 using coll::ring_block_range;
 using simmpi::Comm;
 using simmpi::decode_frame;
-using simmpi::encode_frame;
+using simmpi::decode_frame_parts;
 using simmpi::fault_roll;
 using simmpi::FaultKind;
 using simmpi::FaultPlan;
@@ -175,6 +177,13 @@ TEST(FaultRoll, IsUniformEnoughToUseAsAProbability) {
   EXPECT_NEAR(sum / 4096.0, 0.5, 0.02);
 }
 
+/// Frame `payload` into a fresh contiguous buffer.
+std::vector<uint8_t> encode_frame(uint64_t seq, std::span<const uint8_t> payload) {
+  std::vector<uint8_t> frame(simmpi::frame_size(payload.size()));
+  simmpi::encode_frame_into(seq, payload, frame);
+  return frame;
+}
+
 TEST(Framing, RoundTripsSequenceAndPayload) {
   const std::vector<uint8_t> payload = {1, 2, 3, 250, 0, 42};
   const uint64_t seq = (uint64_t{7} << 40) | 12345;  // exercises both halves
@@ -208,6 +217,41 @@ TEST(Framing, TruncationAndGarbageAreDetected) {
   }
   const std::vector<uint8_t> garbage(64, 0x5A);
   EXPECT_FALSE(decode_frame(garbage).valid);
+}
+
+TEST(Framing, SplitFramesCheckInPlaceOrWhileCopying) {
+  // The runtime keeps header and payload in separate buffers; the split
+  // decoder must accept exactly what the contiguous one does.
+  std::vector<uint8_t> payload(300);
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  const std::vector<uint8_t> frame = encode_frame(77, payload);
+  const auto header = std::span<const uint8_t>(frame).first(sizeof(simmpi::FrameHeader));
+  const auto body = std::span<const uint8_t>(frame).subspan(sizeof(simmpi::FrameHeader));
+
+  const FrameView in_place = decode_frame_parts(header, body);
+  ASSERT_TRUE(in_place.valid);
+  EXPECT_EQ(in_place.seq, 77u);
+  EXPECT_EQ(in_place.payload.data(), body.data()) << "checked in place, not copied";
+
+  std::vector<uint8_t> landed(payload.size(), 0);
+  EXPECT_TRUE(decode_frame_parts(header, body, landed).valid);
+  EXPECT_EQ(landed, payload);
+
+  EXPECT_FALSE(decode_frame_parts(header, body.first(body.size() - 1)).valid);
+  EXPECT_FALSE(decode_frame_parts(header.first(header.size() - 1), body).valid);
+  std::vector<uint8_t> wrong_size(payload.size() + 1);
+  EXPECT_THROW((void)decode_frame_parts(header, body, wrong_size), CapacityError);
+
+  // A corrupting fault picks its bit over header ‖ payload; every flip is
+  // caught whichever buffer it lands in.
+  for (size_t bit = 0; bit < frame.size() * 8; bit += 13) {
+    std::vector<uint8_t> damaged = frame;
+    damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    const auto dh = std::span<const uint8_t>(damaged).first(sizeof(simmpi::FrameHeader));
+    const auto db = std::span<const uint8_t>(damaged).subspan(sizeof(simmpi::FrameHeader));
+    EXPECT_FALSE(decode_frame_parts(dh, db).valid) << "bit " << bit;
+    EXPECT_FALSE(decode_frame_parts(dh, db, landed).valid) << "bit " << bit;
+  }
 }
 
 TEST(TransportStats, SumAndDescribe) {
@@ -254,6 +298,57 @@ TEST(Transport, CleanFabricStaysOnTheFastPath) {
   const TransportStats s = exchange_under(FaultPlan::none(), 32);
   EXPECT_EQ(s.frames_accepted, 32u);
   EXPECT_TRUE(s.clean());
+}
+
+/// Send `count` payloads 0→1 under `plan`; rank 1 takes them with recv()
+/// or, with `into`, recv_into().  Returns the summed transport counters and
+/// the payload bytes sent.
+std::pair<TransportStats, uint64_t> copies_under(const FaultPlan& plan, int count, bool into) {
+  uint64_t bytes = 0;
+  Runtime rt(2, NetModel::omnipath_100g(), plan);
+  rt.run([&](Comm& comm) {
+    for (int i = 0; i < count; ++i) {
+      std::vector<uint8_t> payload(1000 + 517 * static_cast<size_t>(i));
+      for (size_t j = 0; j < payload.size(); ++j) payload[j] = static_cast<uint8_t>(i + j);
+      if (comm.rank() == 0) {
+        comm.send(1, i, payload);
+        bytes += payload.size();
+      } else if (into) {
+        std::vector<uint8_t> out(payload.size());
+        comm.recv_into(0, i, out);
+        ASSERT_EQ(out, payload) << "message " << i;
+      } else {
+        ASSERT_EQ(comm.recv(0, i), payload) << "message " << i;
+      }
+    }
+  });
+  return {total_transport(rt.transport_stats()), bytes};
+}
+
+TEST(Transport, CleanFramesAreCopiedOnce) {
+  // recv(): the sender's wire copy (checksummed in the same pass) is the
+  // only copy — the receiver checks it in place and takes the vector over.
+  const auto [moved, bytes] = copies_under(FaultPlan::none(), 24, false);
+  EXPECT_EQ(moved.frames_accepted, 24u);
+  EXPECT_EQ(moved.payload_bytes_copied, bytes);
+  // recv_into(): the one extra copy is the delivery into the caller's
+  // buffer, made by the pass that checks the frame.
+  const auto [landed, landed_bytes] = copies_under(FaultPlan::none(), 24, true);
+  EXPECT_EQ(landed.payload_bytes_copied, 2 * landed_bytes);
+}
+
+TEST(Transport, FaultPathAlsoCopiesIntoTheWindow) {
+  // An armed plan keeps each payload's pristine copy in the in-flight
+  // window for retransmits, so even a frame no fault touches is copied
+  // twice: the wire copy and the window copy.
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.drop = 1e-12;  // arms the window; fires on none of these frames
+  const auto [s, bytes] = copies_under(plan, 24, false);
+  ASSERT_TRUE(plan.enabled());
+  EXPECT_EQ(s.faults_injected, 0u);
+  EXPECT_EQ(s.retransmits, 0u);
+  EXPECT_EQ(s.payload_bytes_copied, 2 * bytes);
 }
 
 TEST(Transport, DropsHealViaTimeoutAndRetransmit) {

@@ -31,6 +31,8 @@
 #include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/simmpi/faults.hpp"
 #include "hzccl/stats/metrics.hpp"
+#include "hzccl/util/crc32.hpp"
+#include "hzccl/util/error.hpp"
 
 namespace hzccl {
 namespace {
@@ -320,6 +322,144 @@ TEST(KernelConformance, SzxScanCanonicalizesNegativeZero) {
               << "level=" << kernels::level_name(lvl) << " n=" << n << " component=" << c;
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32C: every level (slice-by-8 included) against the byte-at-a-time
+// table loop, over lengths, misalignments, seeds and the fused copy.
+// ---------------------------------------------------------------------------
+
+/// The byte-at-a-time table loop: the oracle for every level's crc32c slot.
+/// Works on the raw register (no pre/post inversion) so a sweep can extend a
+/// prefix CRC one byte at a time.
+class Crc32cOracle {
+ public:
+  Crc32cOracle() {
+    for (uint32_t b = 0; b < 256; ++b) {
+      uint32_t crc = b;
+      for (int bit = 0; bit < 8; ++bit) crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+      table_[b] = crc;
+    }
+  }
+  uint32_t step(uint32_t raw, uint8_t byte) const { return (raw >> 8) ^ table_[(raw ^ byte) & 0xFF]; }
+  uint32_t operator()(const uint8_t* data, size_t n, uint32_t seed = 0) const {
+    uint32_t raw = ~seed;
+    for (size_t i = 0; i < n; ++i) raw = step(raw, data[i]);
+    return ~raw;
+  }
+
+ private:
+  uint32_t table_[256];
+};
+
+std::vector<uint8_t> random_bytes(size_t n, uint64_t stream) {
+  Prng rng(/*seed=*/0xC3C32u, stream);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.u32());
+  return out;
+}
+
+TEST(KernelConformance, Crc32cKnownAnswer) {
+  static const uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Crc32cOracle()(kCheck, sizeof kCheck), 0xE3069283u);
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    EXPECT_EQ(t.crc32c(kCheck, sizeof kCheck, 0, nullptr), 0xE3069283u) << kernels::level_name(lvl);
+    uint8_t copy[sizeof kCheck] = {};
+    EXPECT_EQ(t.crc32c(kCheck, sizeof kCheck, 0, copy), 0xE3069283u) << kernels::level_name(lvl);
+    EXPECT_EQ(std::memcmp(copy, kCheck, sizeof kCheck), 0);
+  }
+  EXPECT_EQ(crc32c(kCheck), 0xE3069283u);
+  uint8_t copy[sizeof kCheck] = {};
+  EXPECT_EQ(crc32c_copy(copy, kCheck), 0xE3069283u);
+  EXPECT_EQ(std::memcmp(copy, kCheck, sizeof kCheck), 0);
+  EXPECT_THROW((void)crc32c_copy(std::span<uint8_t>(copy, 3), kCheck), CapacityError);
+}
+
+TEST(KernelConformance, Crc32cMatchesOracleAcrossLengthsAndAlignments) {
+  // Every length 0..4160 (through the three-stream kernel's 384-byte chunk
+  // edges and its word and byte tails) at every source misalignment 0..15,
+  // checksum-only and fused with a copy to a destination at a different
+  // misalignment.
+  constexpr size_t kMaxLen = 4160;
+  constexpr size_t kPad = 64;
+  const Crc32cOracle oracle;
+  const std::vector<uint8_t> src = random_bytes(kMaxLen + kPad, 1);
+  std::vector<uint8_t> dst(kMaxLen + 2 * kPad);
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    for (size_t mis = 0; mis < 16; ++mis) {
+      const uint8_t* in = src.data() + mis;
+      const size_t dst_off = kPad + (mis * 7) % 16;
+      uint32_t raw = ~0u;
+      for (size_t n = 0; n <= kMaxLen; ++n) {
+        if (n > 0) raw = oracle.step(raw, in[n - 1]);
+        const uint32_t want = ~raw;
+        ASSERT_EQ(t.crc32c(in, n, 0, nullptr), want)
+            << "level=" << kernels::level_name(lvl) << " n=" << n << " misalign=" << mis;
+        if (n % 7 != 0 && n < 1024 && n != kMaxLen) continue;  // copies: a spread subset
+        std::fill(dst.begin(), dst.end(), kGuardByte);
+        ASSERT_EQ(t.crc32c(in, n, 0, dst.data() + dst_off), want)
+            << "copy: level=" << kernels::level_name(lvl) << " n=" << n << " misalign=" << mis;
+        ASSERT_EQ(std::memcmp(dst.data() + dst_off, in, n), 0) << "copy bytes: n=" << n;
+        for (size_t i = 0; i < dst_off; ++i) ASSERT_EQ(dst[i], kGuardByte) << "underrun n=" << n;
+        for (size_t i = dst_off + n; i < dst.size(); ++i) {
+          ASSERT_EQ(dst[i], kGuardByte) << "overrun n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, Crc32cMatchesOracleOnLargeBuffers) {
+  // 2 MiB (a bulk ring block) plus lengths straddling the 12 KiB chunk edge
+  // of the three-stream kernel's large lanes.
+  constexpr size_t kLen = size_t{2} << 20;
+  const std::vector<uint8_t> src = random_bytes(kLen + 3, 2);
+  const Crc32cOracle oracle;
+  std::vector<uint8_t> dst(kLen);
+  for (const size_t n : {size_t{12287}, size_t{12288}, size_t{12289}, size_t{12288 + 383},
+                         size_t{12288 + 384}, size_t{2 * 12288 + 391}, kLen}) {
+    for (const size_t mis : {size_t{0}, size_t{3}}) {
+      const uint32_t want = oracle(src.data() + mis, n);
+      for (DispatchLevel lvl : kernels::supported_levels()) {
+        const KernelTable& t = kernels::table(lvl);
+        EXPECT_EQ(t.crc32c(src.data() + mis, n, 0, nullptr), want)
+            << kernels::level_name(lvl) << " n=" << n;
+        EXPECT_EQ(t.crc32c(src.data() + mis, n, 0, dst.data()), want)
+            << kernels::level_name(lvl) << " n=" << n;
+        EXPECT_EQ(std::memcmp(dst.data(), src.data() + mis, n), 0)
+            << kernels::level_name(lvl) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, Crc32cSeedChains) {
+  // crc(a‖b) == crc(b, crc(a)) at every level and across levels, for splits
+  // that land on and off the kernel's chunk edges.
+  const std::vector<uint8_t> buf = random_bytes(40000, 3);
+  const Crc32cOracle oracle;
+  const KernelTable& ref = kernels::table(DispatchLevel::kScalar);
+  Prng rng(/*seed=*/0x5EEDu, /*stream=*/4);
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    for (int trial = 0; trial < 64; ++trial) {
+      const size_t n = trial < 8 ? buf.size() : rng.u32() % buf.size();
+      const size_t cut = trial < 8 ? size_t{12288} * static_cast<size_t>(trial) / 4
+                                   : (n == 0 ? 0 : rng.u32() % (n + 1));
+      const uint32_t seed = trial % 2 == 0 ? 0u : rng.u32();
+      const uint32_t whole = oracle(buf.data(), n, seed);
+      const uint32_t head = t.crc32c(buf.data(), cut, seed, nullptr);
+      ASSERT_EQ(t.crc32c(buf.data() + cut, n - cut, head, nullptr), whole)
+          << "level=" << kernels::level_name(lvl) << " n=" << n << " cut=" << cut;
+      ASSERT_EQ(ref.crc32c(buf.data() + cut, n - cut, head, nullptr), whole)
+          << "cross-level: level=" << kernels::level_name(lvl) << " n=" << n << " cut=" << cut;
+      ASSERT_EQ(crc32c(std::span<const uint8_t>(buf.data() + cut, n - cut),
+                       crc32c(std::span<const uint8_t>(buf.data(), cut), seed)),
+                whole);
     }
   }
 }

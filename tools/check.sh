@@ -19,6 +19,10 @@
 #                             # dispatch level + SIMD speedup gate
 #   tools/check.sh --analyze  # tier 1 + whole-program static contracts
 #                             # (hot-path allocation/stack/exception proofs)
+#   tools/check.sh --bench    # tier 1 + benchmark correctness: perfbench
+#                             # helper tests + 5 s bulk and lossy runs, which
+#                             # must exit 0 (every op correct, replays
+#                             # bit-equal); no wall-time bounds
 #   tools/check.sh --all      # everything
 #
 # Flags combine (e.g. --lint --tsan).  Exit nonzero on the first failing
@@ -28,7 +32,7 @@ set -eu
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 
-run_asan=1 run_lint=0 run_tsan=0 run_fuzz=0 run_perf=0 run_cov=0 run_recovery=0 run_sched=0 run_kernels=0 run_analyze=0 run_integrity=0
+run_asan=1 run_lint=0 run_tsan=0 run_fuzz=0 run_perf=0 run_cov=0 run_recovery=0 run_sched=0 run_kernels=0 run_analyze=0 run_integrity=0 run_bench=0
 for arg in "$@"; do
   case "$arg" in
     --fast) run_asan=0 ;;
@@ -42,8 +46,9 @@ for arg in "$@"; do
     --kernels) run_kernels=1 ;;
     --analyze) run_analyze=1 ;;
     --integrity) run_integrity=1 ;;
-    --all)  run_asan=1 run_lint=1 run_tsan=1 run_fuzz=1 run_perf=1 run_cov=1 run_recovery=1 run_sched=1 run_kernels=1 run_analyze=1 run_integrity=1 ;;
-    *) echo "usage: tools/check.sh [--fast] [--lint] [--tsan] [--fuzz] [--perf] [--cov] [--recovery] [--sched] [--kernels] [--analyze] [--integrity] [--all]" >&2; exit 2 ;;
+    --bench) run_bench=1 ;;
+    --all)  run_asan=1 run_lint=1 run_tsan=1 run_fuzz=1 run_perf=1 run_cov=1 run_recovery=1 run_sched=1 run_kernels=1 run_analyze=1 run_integrity=1 run_bench=1 ;;
+    *) echo "usage: tools/check.sh [--fast] [--lint] [--tsan] [--fuzz] [--perf] [--cov] [--recovery] [--sched] [--kernels] [--analyze] [--integrity] [--bench] [--all]" >&2; exit 2 ;;
   esac
 done
 
@@ -200,6 +205,20 @@ if [ "$run_perf" = "1" ]; then
   cmake --build "$repo/build" -j "$jobs" --target bench_sched
   "$repo/build/bench/bench_sched" --json --quick \
     --out "$repo/build/BENCH_sched.json"
+fi
+
+if [ "$run_bench" = "1" ]; then
+  echo "== bench: perfbench helper tests =="
+  (cd "$repo" && python3 -m unittest discover -s perfbench/tests)
+  echo "== bench: short bulk + lossy runs (correctness and determinism only) =="
+  # run.py builds the library from source into .bench_build/ and exits
+  # nonzero if any op misses its exact-reduction check, an engine run
+  # differs from run_collective, or an in-run replay is not bit-equal.
+  # Wall-time bounds need a parent-commit run, so none are applied here.
+  for workload in bulk lossy; do
+    echo "-- bench: $workload"
+    python3 "$repo/perfbench/run.py" --workload "$workload" --seed 1 --seconds 5 --trace 0
+  done
 fi
 
 if [ "$run_cov" = "1" ]; then
