@@ -19,7 +19,9 @@
 //    byte-straddling widths (bits >= 3) is below R× the scalar table's —
 //    the SIMD speedup gate; the same floor applies to the per-level crc32c
 //    entries (a frame_codec entry times encode_frame_into + decode_frame
-//    at the session level).  Skipped on hosts whose best level is scalar.
+//    at the session level) and to the per-level single-threaded hz_add on
+//    cesm_atm (all pipeline 4: the fused block kernel).  Skipped on hosts
+//    whose best level is scalar.
 //    --verify-overhead P fails the run if per-round ABFT digest verification
 //    adds more than P% to the modeled end-to-end hZCCL allreduce at the
 //    paper's scalability point (512 ranks x 8 MiB per rank, RoundSim +
@@ -413,6 +415,16 @@ int run_json_mode(const JsonOptions& opts) {
     Rng rng(3);
     for (auto& b : crc_input) b = static_cast<uint8_t>(rng.below(256));
   }
+  // Pipeline 4 per level: one whole-field hz_add on cesm_atm (every block
+  // pair takes pipeline 4 there), single-threaded so the row reads the
+  // fused block kernel rather than the OpenMP fork.
+  const std::vector<float> p4_f0 = generate_field(DatasetId::kCesmAtm, Scale::kTiny, 0);
+  FzParams p4_params;
+  p4_params.abs_error_bound = abs_bound_from_rel(p4_f0, 1e-3);
+  const CompressedBuffer p4_a = fz_compress(p4_f0, p4_params);
+  const CompressedBuffer p4_b =
+      fz_compress(generate_field(DatasetId::kCesmAtm, Scale::kTiny, 1), p4_params);
+  BufferPool& pool = BufferPool::local();
   for (const kernels::DispatchLevel level : levels) {
     kernels::set_dispatch_level(level);
     const char* level_slug = kernels::level_name(level);
@@ -437,6 +449,14 @@ int run_json_mode(const JsonOptions& opts) {
                                  [&] { benchmark::DoNotOptimize(crc32c(crc_input)); });
     crc.level = level_slug;
     entries.push_back(crc);
+    JsonEntry p4 = measure_json("hz_add", -1, dataset_slug(DatasetId::kCesmAtm),
+                                p4_f0.size() * sizeof(float), min_seconds, [&] {
+                                  CompressedBuffer c = hz_add(p4_a, p4_b, nullptr, 1, &pool);
+                                  pool.release(std::move(c.bytes));
+                                });
+    p4.level = level_slug;
+    p4.gated = true;
+    entries.push_back(p4);
   }
   kernels::set_dispatch_level(prior_level);
 
@@ -455,7 +475,6 @@ int run_json_mode(const JsonOptions& opts) {
                  : std::vector<DatasetId>{DatasetId::kRtmSim1, DatasetId::kRtmSim2,
                                           DatasetId::kNyx, DatasetId::kCesmAtm,
                                           DatasetId::kHurricane};
-  BufferPool& pool = BufferPool::local();
   for (const DatasetId id : datasets) {
     const std::string slug = dataset_slug(id);
     const std::vector<float> f0 = generate_field(id, Scale::kTiny, 0);
@@ -616,6 +635,8 @@ int run_json_mode(const JsonOptions& opts) {
                     find_gbps("unpack_bits", bits, "scalar"));
       }
       floor_check("crc32c", find_gbps("crc32c", -1, best_slug), find_gbps("crc32c", -1, "scalar"));
+      floor_check("hz_add cesm_atm", find_gbps("hz_add", -1, best_slug),
+                  find_gbps("hz_add", -1, "scalar"));
     }
   }
   // Per-round verify overhead gate: at the paper's scalability point the

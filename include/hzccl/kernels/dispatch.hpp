@@ -4,7 +4,9 @@
 // through a handful of primitives: the ultra-fast bit-shifting pack/unpack
 // (paper §III-B3), the quantized-delta merge at the heart of hz_add
 // (§III-C), and fZ-light's fused quantize + 1-D Lorenzo predict scan
-// (§III-B2) — plus the CRC-32C that every transport frame is checked with.
+// (§III-B2), hZ-dynamic's fused pipeline-4 block combine (decode both
+// operands, add, re-encode) — plus the CRC-32C that every transport frame
+// is checked with.
 // This header exposes those primitives as a table of function pointers with
 // one table per *dispatch level*:
 //
@@ -15,7 +17,8 @@
 //   kAvx2   — AVX2 + BMI2: PDEP/PEXT bit-plane codecs; SSE4.2 + PCLMUL:
 //             three-stream crc32 with carry-less recombination.
 //   kAvx512 — AVX-512 (F/BW/DQ/VL/VBMI): VPERMB + VPMULTISHIFTQB unpack,
-//             8-lane int64 merge, VCVTPD2QQ exact-llrint quantizer.
+//             8-lane int64 merge, VCVTPD2QQ exact-llrint quantizer, and a
+//             32-lane in-register pipeline-4 block combine.
 //
 // Contract: every variant produces byte-identical output to the scalar
 // reference on identical input — including sign conventions, guard
@@ -77,6 +80,18 @@ using SzxScanFn = void (*)(const float* data, size_t n, float* out);
 /// also receives a copy of the n bytes in the same pass (non-overlapping).
 /// Every level returns the same value; only the throughput differs.
 using Crc32cFn = uint32_t (*)(const uint8_t* src, size_t n, uint32_t seed, uint8_t* dst);
+/// hZ-dynamic pipeline 4 on one block pair: reads the encoded residual
+/// blocks `a` and `b` (fixed_len.hpp layout, n residuals each), writes the
+/// encoded block of a + sign_b * b to `out` and returns the first byte past
+/// it.  `*guard` receives the OR of all |sum| (64-bit, as CombineFn).  When
+/// the guard exceeds INT32_MAX the sum does not fit the 31-bit magnitude
+/// domain: the kernel returns nullptr and the bytes at `out` are
+/// unspecified.  Preconditions, checked by the caller: peek_block_size has
+/// bounded both blocks, neither is raw (0xFF) or constant (code length 0),
+/// 1 <= n <= 512, and `out` has max_encoded_block_size(n) writable bytes.
+/// Byte-identical to decode_block x2 + CombineFn + encode_block_prepared.
+using CombineBlockFn = uint8_t* (*)(const uint8_t* a, const uint8_t* b, size_t n, int sign_b,
+                                    uint8_t* out, uint64_t* guard);
 
 /// One dispatch level's kernel set.  pack/unpack are indexed by bit width
 /// (entries 1..kMaxPackBits; entry 0 is null).  Entries a level does not
@@ -91,6 +106,7 @@ struct KernelTable {
   PredictFn fz_predict = nullptr;
   SzxScanFn szx_scan = nullptr;
   Crc32cFn crc32c = nullptr;
+  CombineBlockFn hz_combine_block = nullptr;
 };
 
 /// "scalar" / "avx2" / "avx512".

@@ -12,6 +12,7 @@
 #include "hzccl/util/contracts.hpp"
 #include "hzccl/util/raise.hpp"
 #include "hzccl/util/threading.hpp"
+#include "hz_chunk.hpp"
 
 namespace hzccl {
 namespace {
@@ -24,90 +25,6 @@ HZCCL_HOT int32_t checked_outlier_sum(int32_t a, int32_t b) {
     detail::raise_overflow("chunk outlier sum overflows int32");
   }
   return static_cast<int32_t>(s);
-}
-
-/// Homomorphically reduce one chunk pair into [out, out + out_capacity);
-/// returns bytes written.  Operand payloads are untrusted: the copy fast
-/// paths (pipelines 2/3) move operand bytes verbatim, so every write —
-/// copied or re-encoded — is checked against the destination's worst-case
-/// capacity before it happens (CapacityError on violation).
-HZCCL_HOT size_t hz_add_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
-                    size_t chunk_elems, uint32_t block_len, uint8_t* out,
-                    size_t out_capacity, HzPipelineStats& stats) {
-  uint8_t* const out_begin = out;
-  const uint8_t* const out_end = out + out_capacity;
-  const uint8_t* pa = ca.data();
-  const uint8_t* const ea = pa + ca.size();
-  const uint8_t* pb = cb.data();
-  const uint8_t* const eb = pb + cb.size();
-
-  int32_t ra[kMaxBlockLen];
-  int32_t rb[kMaxBlockLen];
-  uint32_t mags[kMaxBlockLen];
-  uint32_t signs[kMaxBlockLen];
-
-  size_t remaining = chunk_elems;
-  while (remaining > 0) {
-    const size_t n = std::min<size_t>(block_len, remaining);
-    const size_t size_a = peek_block_size(pa, ea, n);
-    const size_t size_b = peek_block_size(pb, eb, n);
-    const int x = *pa;
-    const int y = *pb;
-
-    if (x == 0 && y == 0) {
-      // Pipeline 1: both constant — the sum is constant too; one byte out.
-      if (out >= out_end) detail::raise_capacity("hz_add: chunk output capacity exceeded");
-      *out++ = 0;
-      ++stats.p1;
-    } else if (x == 0) {
-      // Pipeline 2: a is constant (all residuals zero), so a + b has exactly
-      // b's residual stream; copy b's block verbatim.
-      if (size_b > static_cast<size_t>(out_end - out)) {
-        detail::raise_capacity("hz_add: chunk output capacity exceeded");
-      }
-      std::memcpy(out, pb, size_b);
-      out += size_b;
-      ++stats.p2;
-      stats.copied_bytes += size_b;
-    } else if (y == 0) {
-      // Pipeline 3: mirror of 2.
-      if (size_a > static_cast<size_t>(out_end - out)) {
-        detail::raise_capacity("hz_add: chunk output capacity exceeded");
-      }
-      std::memcpy(out, pa, size_a);
-      out += size_a;
-      ++stats.p3;
-      stats.copied_bytes += size_a;
-    } else {
-      // Pipeline 4: partial decode (IFE), integer add, re-encode (FE).  The
-      // merge runs through the dispatched kernel; its guard (OR of all |s|)
-      // range-checks the whole block with one compare.
-      decode_block(pa, ea, n, ra);
-      decode_block(pb, eb, n, rb);
-      const uint64_t guard = kernels::active().hz_combine_residuals(ra, rb, n, +1, mags, signs);
-      if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-        detail::raise_overflow("residual sum overflows the 31-bit magnitude domain");
-      }
-      // Compute-side SDC injection point: an armed injector sign-flips one
-      // combined lane *after* the guard and *before* encoding, so the
-      // poisoned block encodes cleanly and only a digest verify can see it.
-      if (integrity::SdcInjector* inj = integrity::sdc_injector(); inj) {
-        inj->maybe_poison_combine(mags, signs, n);
-      }
-      out = encode_block_prepared(mags, signs, n, code_length_for(static_cast<uint32_t>(guard)),
-                                  out, out_end);
-      ++stats.p4;
-      stats.p4_elements += n;
-    }
-
-    pa += size_a;
-    pb += size_b;
-    remaining -= n;
-  }
-  if (pa != ea || pb != eb) {
-    detail::raise_format("hz_add: chunk payload longer than its block grid");
-  }
-  return static_cast<size_t>(out - out_begin);
 }
 
 /// Chain-tracking per-chunk combine (a + sign_b * b) for operand pairs with
@@ -235,6 +152,103 @@ HZCCL_HOT int32_t checked_outlier_combine(int32_t a, int32_t b, int sign_b) {
 
 namespace detail {
 
+HZCCL_HOT size_t hz_combine_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
+                                  size_t chunk_elems, uint32_t block_len, int sign_b,
+                                  uint8_t* out, size_t out_capacity, HzPipelineStats& stats) {
+  const bool sub = sign_b < 0;
+  const char* const capacity_msg =
+      sub ? "hz_sub: chunk output capacity exceeded" : "hz_add: chunk output capacity exceeded";
+  const char* const overflow_msg = sub ? "residual difference overflows int32"
+                                       : "residual sum overflows the 31-bit magnitude domain";
+  uint8_t* const out_begin = out;
+  const uint8_t* const out_end = out + out_capacity;
+  const uint8_t* pa = ca.data();
+  const uint8_t* const ea = pa + ca.size();
+  const uint8_t* pb = cb.data();
+  const uint8_t* const eb = pb + cb.size();
+  const kernels::KernelTable& k = kernels::active();
+  // Compute-side SDC injection point: an armed injector sign-flips one
+  // combined lane *after* the guard and *before* encoding, so the poisoned
+  // block encodes cleanly and only a digest verify can see it.  The fused
+  // kernel has no such seam, so an armed thread keeps the unfused path.
+  integrity::SdcInjector* const inj = integrity::sdc_injector();
+
+  int32_t ra[kMaxBlockLen];
+  int32_t rb[kMaxBlockLen];
+  uint32_t mags[kMaxBlockLen];
+  uint32_t signs[kMaxBlockLen];
+
+  size_t remaining = chunk_elems;
+  while (remaining > 0) {
+    const size_t n = std::min<size_t>(block_len, remaining);
+    const size_t size_a = peek_block_size(pa, ea, n);
+    const size_t size_b = peek_block_size(pb, eb, n);
+    const int x = *pa;
+    const int y = *pb;
+
+    if (x == 0 && y == 0) {
+      // Pipeline 1: both constant — the sum is constant too; one byte out.
+      if (out >= out_end) detail::raise_capacity(capacity_msg);
+      *out++ = 0;
+      ++stats.p1;
+    } else if (x == 0) {
+      // Pipeline 2: a is constant (all residuals zero), so a + b has exactly
+      // b's residual stream: copy b's block verbatim (0 - b = -b: copy it
+      // with the sign plane flipped).
+      if (sub) {
+        out += copy_block_negated(pb, eb, n, out, out_end);
+      } else {
+        if (size_b > static_cast<size_t>(out_end - out)) detail::raise_capacity(capacity_msg);
+        std::memcpy(out, pb, size_b);
+        out += size_b;
+      }
+      ++stats.p2;
+      stats.copied_bytes += size_b;
+    } else if (y == 0) {
+      // Pipeline 3: mirror of 2 (a - 0 = a).
+      if (size_a > static_cast<size_t>(out_end - out)) detail::raise_capacity(capacity_msg);
+      std::memcpy(out, pa, size_a);
+      out += size_a;
+      ++stats.p3;
+      stats.copied_bytes += size_a;
+    } else {
+      // Pipeline 4: partial decode (IFE), integer add, re-encode (FE).  The
+      // guard (OR of all |s|) range-checks the whole block with one compare.
+      if (inj == nullptr && x != kRawBlockMarker && y != kRawBlockMarker && n <= kMaxBlockLen &&
+          static_cast<size_t>(out_end - out) >= max_encoded_block_size(n)) {
+        // Fused: one dispatched kernel for the whole block.  A block pair
+        // that misses its preconditions takes the checked path below, which
+        // raises the matching error.
+        uint64_t guard = 0;
+        uint8_t* const next = k.hz_combine_block(pa, pb, n, sign_b, out, &guard);
+        if (next == nullptr) detail::raise_overflow(overflow_msg);
+        out = next;
+      } else {
+        decode_block(pa, ea, n, ra);
+        decode_block(pb, eb, n, rb);
+        const uint64_t guard = k.hz_combine_residuals(ra, rb, n, sign_b, mags, signs);
+        if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+          detail::raise_overflow(overflow_msg);
+        }
+        if (inj) inj->maybe_poison_combine(mags, signs, n);
+        out = encode_block_prepared(mags, signs, n,
+                                    code_length_for(static_cast<uint32_t>(guard)), out, out_end);
+      }
+      ++stats.p4;
+      stats.p4_elements += n;
+    }
+
+    pa += size_a;
+    pb += size_b;
+    remaining -= n;
+  }
+  if (pa != ea || pb != eb) {
+    detail::raise_format(sub ? "hz_sub: chunk payload longer than its block grid"
+                             : "hz_add: chunk payload longer than its block grid");
+  }
+  return static_cast<size_t>(out - out_begin);
+}
+
 CompressedBuffer hz_combine_raw(const FzView& a, const FzView& b, int sign_b,
                                 HzPipelineStats* stats, int num_threads, BufferPool* pool) {
   require_layout_compatible(a, b);
@@ -349,9 +363,9 @@ CompressedBuffer hz_add(const FzView& a, const FzView& b, HzPipelineStats* stats
         const int32_t outlier = checked_outlier_sum(a.chunk_outliers[c], b.chunk_outliers[c]);
         size_t size = 0;
         if (r.size() > 0) {
-          size = hz_add_chunk(a.chunk_payload(c), b.chunk_payload(c), r.size(), block_len,
-                              assembler.chunk_buffer(c), assembler.chunk_capacity(c),
-                              chunk_stats[c]);
+          size = detail::hz_combine_chunk(a.chunk_payload(c), b.chunk_payload(c), r.size(),
+                                          block_len, +1, assembler.chunk_buffer(c),
+                                          assembler.chunk_capacity(c), chunk_stats[c]);
         }
         assembler.set_chunk(c, size, outlier);
         if (fold_digests) {

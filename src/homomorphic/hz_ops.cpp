@@ -6,22 +6,14 @@
 #include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
-#include "hzccl/kernels/dispatch.hpp"
 #include "hzccl/util/contracts.hpp"
 #include "hzccl/util/raise.hpp"
 #include "hzccl/util/threading.hpp"
+#include "hz_chunk.hpp"
 
 namespace hzccl {
-namespace {
 
-constexpr uint32_t kMaxBlockLen = 512;
-
-HZCCL_HOT int32_t checked_i32(int64_t v, const char* what) {
-  if (v > std::numeric_limits<int32_t>::max() || v < std::numeric_limits<int32_t>::min()) {
-    detail::raise_overflow(what, " overflows int32");
-  }
-  return static_cast<int32_t>(v);
-}
+namespace detail {
 
 /// Copy one encoded block while flipping its sign plane (the negate
 /// primitive).  Decoders read sign bits only where magnitudes are nonzero in
@@ -53,6 +45,19 @@ HZCCL_HOT size_t copy_block_negated(const uint8_t* src, const uint8_t* end, size
     }
   }
   return size;
+}
+
+}  // namespace detail
+
+namespace {
+
+constexpr uint32_t kMaxBlockLen = 512;
+
+HZCCL_HOT int32_t checked_i32(int64_t v, const char* what) {
+  if (v > std::numeric_limits<int32_t>::max() || v < std::numeric_limits<int32_t>::min()) {
+    detail::raise_overflow(what, " overflows int32");
+  }
+  return static_cast<int32_t>(v);
 }
 
 /// Per-chunk scale: decode, multiply, re-encode (copy fast paths for the
@@ -104,69 +109,6 @@ HZCCL_HOT size_t scale_chunk(std::span<const uint8_t> ca, size_t chunk_elems, ui
     remaining -= n;
   }
   if (pa != ea) detail::raise_format("hz_scale: chunk payload longer than its block grid");
-  return static_cast<size_t>(out - out_begin);
-}
-
-/// Per-chunk subtract with the four-pipeline dispatch (mirror of
-/// hz_add_chunk; the y-copy pipelines negate on the fly).
-HZCCL_HOT size_t sub_chunk(std::span<const uint8_t> ca, std::span<const uint8_t> cb,
-                           size_t chunk_elems, uint32_t block_len, uint8_t* out,
-                           size_t out_capacity, HzPipelineStats& stats) {
-  uint8_t* const out_begin = out;
-  const uint8_t* const out_end = out + out_capacity;
-  const uint8_t* pa = ca.data();
-  const uint8_t* const ea = pa + ca.size();
-  const uint8_t* pb = cb.data();
-  const uint8_t* const eb = pb + cb.size();
-
-  int32_t ra[kMaxBlockLen];
-  int32_t rb[kMaxBlockLen];
-  uint32_t mags[kMaxBlockLen];
-  uint32_t signs[kMaxBlockLen];
-
-  size_t remaining = chunk_elems;
-  while (remaining > 0) {
-    const size_t n = std::min<size_t>(block_len, remaining);
-    const size_t size_a = peek_block_size(pa, ea, n);
-    const size_t size_b = peek_block_size(pb, eb, n);
-    const int x = *pa;
-    const int y = *pb;
-
-    if (x == 0 && y == 0) {
-      if (out >= out_end) detail::raise_capacity("hz_sub: chunk output capacity exceeded");
-      *out++ = 0;
-      ++stats.p1;
-    } else if (x == 0) {
-      out += copy_block_negated(pb, eb, n, out, out_end);  // 0 - b = -b
-      ++stats.p2;
-      stats.copied_bytes += size_b;
-    } else if (y == 0) {
-      if (size_a > static_cast<size_t>(out_end - out)) {
-        detail::raise_capacity("hz_sub: chunk output capacity exceeded");
-      }
-      std::memcpy(out, pa, size_a);  // a - 0 = a
-      out += size_a;
-      ++stats.p3;
-      stats.copied_bytes += size_a;
-    } else {
-      decode_block(pa, ea, n, ra);
-      decode_block(pb, eb, n, rb);
-      const uint64_t guard = kernels::active().hz_combine_residuals(ra, rb, n, -1, mags, signs);
-      if (guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-        detail::raise_overflow("residual difference overflows int32");
-      }
-      out = encode_block_prepared(mags, signs, n, code_length_for(static_cast<uint32_t>(guard)),
-                                  out, out_end);
-      ++stats.p4;
-      stats.p4_elements += n;
-    }
-    pa += size_a;
-    pb += size_b;
-    remaining -= n;
-  }
-  if (pa != ea || pb != eb) {
-    detail::raise_format("hz_sub: chunk payload longer than its block grid");
-  }
   return static_cast<size_t>(out - out_begin);
 }
 
@@ -259,7 +201,7 @@ CompressedBuffer hz_negate(const FzView& a, int num_threads, BufferPool* pool) {
         size_t remaining = r.size();
         while (remaining > 0) {
           const size_t n = std::min<size_t>(a.block_len(), remaining);
-          const size_t size = copy_block_negated(src, end, n, out, out_end);
+          const size_t size = detail::copy_block_negated(src, end, n, out, out_end);
           src += size;
           out += size;
           remaining -= n;
@@ -297,8 +239,9 @@ CompressedBuffer hz_sub(const CompressedBuffer& a, const CompressedBuffer& b,
             static_cast<int64_t>(va.chunk_outliers[c]) - vb.chunk_outliers[c],
             "outlier difference");
         if (r.size() == 0) return {0, outlier};
-        return {sub_chunk(va.chunk_payload(c), vb.chunk_payload(c), r.size(), va.block_len(),
-                          out.data(), out.size(), chunk_stats[c]),
+        return {detail::hz_combine_chunk(va.chunk_payload(c), vb.chunk_payload(c), r.size(),
+                                         va.block_len(), -1, out.data(), out.size(),
+                                         chunk_stats[c]),
                 outlier};
       },
       [&](uint32_t c) { return va.chunk_digest(c) - vb.chunk_digest(c); });

@@ -4,7 +4,8 @@
 // not-compiled.
 //
 // Hand-vectorized here: the PDEP/PEXT bit-plane codecs for widths 1..8 and
-// the three-stream crc32 CRC-32C (inherited by the AVX-512 level).
+// the three-stream crc32 CRC-32C (inherited by the AVX-512 level), and the
+// 32-lane fused pipeline-4 block combine.
 // The integer merge/predict bodies are recompiled under AVX2 so the
 // auto-vectorizer retargets them; wider codec widths alias the scalar
 // bitstream codec via the overlay in dispatch.cpp.
@@ -45,6 +46,7 @@ bool populate_avx2(KernelTable& t) {
   t.fz_predict = &predict_avx2;
   t.szx_scan = &szx_scan_avx2_body;
   t.crc32c = &crc32c_sse42_body;
+  t.hz_combine_block = &combine_block_avx2_body;
   // fz_quantize: AVX2 has no exact packed double->int64 convert, so the
   // inherited scalar entry (llrint) stays — exactness beats throughput here.
   return true;

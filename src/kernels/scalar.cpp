@@ -27,6 +27,7 @@ bool populate_scalar(KernelTable& t) {
   t.fz_predict = &predict_body;
   t.szx_scan = &szx_scan_body;
   t.crc32c = &crc32c_scalar_body;
+  t.hz_combine_block = &combine_block_body;
   return true;
 }
 

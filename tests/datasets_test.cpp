@@ -152,7 +152,7 @@ TEST(CorrelatedFields, RtmMembersShareActivityStructure) {
     if ((m0[i] == 0.0f) != (m1[i] == 0.0f)) ++mismatched_support;
   }
   // The smoothstep gate edge allows a sliver of disagreement, nothing more.
-  EXPECT_LT(static_cast<double>(mismatched_support) / m0.size(), 0.02);
+  EXPECT_LT(static_cast<double>(mismatched_support) / static_cast<double>(m0.size()), 0.02);
   EXPECT_NE(m0, m1);  // texture differs
 }
 

@@ -60,7 +60,7 @@ TEST(DocAdd, BreakdownAccumulates) {
   const double eb = abs_bound_from_rel(f0, 1e-3);
   const CompressedBuffer a = compress(f0, eb);
   DocBreakdown breakdown;
-  doc_add(a, a, &breakdown);
+  (void)doc_add(a, a, &breakdown);
   EXPECT_GT(breakdown.decompress_seconds, 0.0);
   EXPECT_GT(breakdown.compress_seconds, 0.0);
   EXPECT_GE(breakdown.compute_seconds, 0.0);

@@ -493,8 +493,8 @@ std::vector<ChaosCase> chaos_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, ChaosSweepTest, ::testing::ValuesIn(chaos_cases()),
-                         [](const auto& info) {
-                           const ChaosCase& c = info.param;
+                         [](const auto& case_info) {
+                           const ChaosCase& c = case_info.param;
                            std::string name = kernel_name(c.kernel) + "_" + op_name(c.op) +
                                               "_N" + std::to_string(c.nranks);
                            for (char& ch : name) {
@@ -637,8 +637,8 @@ std::vector<DegradedCase> degraded_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllCompressedStacks, DegradedRoundSweepTest,
                          ::testing::ValuesIn(degraded_cases()),
-                         [](const auto& info) {
-                           const DegradedCase& c = info.param;
+                         [](const auto& case_info) {
+                           const DegradedCase& c = case_info.param;
                            std::string name = kernel_name(c.kernel) + "_" + op_name(c.op) +
                                               "_S" + std::to_string(c.seed & 0xF);
                            for (char& ch : name) {

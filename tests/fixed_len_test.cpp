@@ -183,9 +183,11 @@ TEST_F(PackBitsLevelSweep, BlockCodecStraddlingRemainderMatchesAcrossLevels) {
 
 // --- block codec sweep --------------------------------------------------------
 
+// Two 8-byte fields and no padding: gtest names each case after the raw
+// bytes of its parameter, and padding bytes hold whatever the stack held.
 struct BlockCase {
-  int code_len;  // magnitude bit width to exercise
-  size_t n;      // block length (incl. ragged tails)
+  int64_t code_len;  // magnitude bit width to exercise
+  size_t n;          // block length (incl. ragged tails)
 };
 
 class BlockCodecTest : public ::testing::TestWithParam<BlockCase> {};

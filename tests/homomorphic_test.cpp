@@ -130,7 +130,7 @@ TEST(HzDynamic, AddingZeroFieldIsIdentityOnReconstruction) {
   // And the zero operand makes every block take a copy pipeline (2/3) or the
   // both-constant pipeline (1) — never the expensive pipeline 4.
   HzPipelineStats stats;
-  hz_add(a, z, &stats);
+  (void)hz_add(a, z, &stats);
   EXPECT_EQ(stats.p4, 0u);
 }
 
@@ -140,7 +140,7 @@ TEST(HzDynamic, PipelineCountsCoverEveryBlock) {
   const double eb = abs_bound_from_rel(f0, 1e-3);
   const CompressedBuffer a = compress(f0, eb);
   HzPipelineStats stats;
-  hz_add(a, compress(f1, eb), &stats);
+  (void)hz_add(a, compress(f1, eb), &stats);
 
   const FzView v = parse_fz(a.bytes);
   size_t expected_blocks = 0;
@@ -163,7 +163,7 @@ TEST(HzDynamic, PipelineMixTracksDataSmoothness) {
     const auto f1 = generate_field(id, Scale::kTiny, 1);
     const double eb = abs_bound_from_rel(f0, rel);
     HzPipelineStats stats;
-    hz_add(compress(f0, eb), compress(f1, eb), &stats);
+    (void)hz_add(compress(f0, eb), compress(f1, eb), &stats);
     return stats;
   };
   const HzPipelineStats early = mix(DatasetId::kRtmSim1);
@@ -189,14 +189,14 @@ TEST(HzDynamic, ConstantPairsCollapseToOneByteBlocks) {
 TEST(HzDynamic, LayoutMismatchThrows) {
   const std::vector<float> f(1000, 1.0f);
   const CompressedBuffer a = compress(f, 1e-3, 32);
-  EXPECT_THROW(hz_add(a, compress(f, 1e-3, 64)), LayoutMismatchError);     // block length
-  EXPECT_THROW(hz_add(a, compress(f, 1e-4, 32)), LayoutMismatchError);     // error bound
+  EXPECT_THROW((void)hz_add(a, compress(f, 1e-3, 64)), LayoutMismatchError);     // block length
+  EXPECT_THROW((void)hz_add(a, compress(f, 1e-4, 32)), LayoutMismatchError);     // error bound
   const std::vector<float> g(999, 1.0f);
-  EXPECT_THROW(hz_add(a, compress(g, 1e-3, 32)), LayoutMismatchError);     // element count
+  EXPECT_THROW((void)hz_add(a, compress(g, 1e-3, 32)), LayoutMismatchError);     // element count
   FzParams p;
   p.abs_error_bound = 1e-3;
   p.num_chunks = 2;
-  EXPECT_THROW(hz_add(a, fz_compress(f, p)), LayoutMismatchError);         // chunk count
+  EXPECT_THROW((void)hz_add(a, fz_compress(f, p)), LayoutMismatchError);         // chunk count
 }
 
 TEST(HzDynamic, SingleAddOfFreshStreamsCannotOverflow) {

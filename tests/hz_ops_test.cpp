@@ -121,8 +121,8 @@ TEST(HzSub, PipelineStatsCoverEveryBlock) {
   const double eb = abs_bound_from_rel(f0, 1e-3);
   const CompressedBuffer a = compress(f0, eb);
   HzPipelineStats add_stats, sub_stats;
-  hz_add(a, compress(f1, eb), &add_stats);
-  hz_sub(a, compress(f1, eb), &sub_stats);
+  (void)hz_add(a, compress(f1, eb), &add_stats);
+  (void)hz_sub(a, compress(f1, eb), &sub_stats);
   EXPECT_EQ(sub_stats.blocks(), add_stats.blocks());
 }
 
@@ -163,7 +163,7 @@ TEST(HzAddMany, AccumulatesStats) {
   std::vector<CompressedBuffer> operands;
   for (const auto& f : fields) operands.push_back(compress(f, eb));
   HzPipelineStats stats;
-  hz_add_many(operands, &stats);
+  (void)hz_add_many(operands, &stats);
   // 3 pairwise adds, each covering the full block grid.
   const FzView v = parse_fz(operands[0].bytes);
   size_t blocks = 0;

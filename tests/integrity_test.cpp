@@ -525,6 +525,61 @@ TEST(PoisonedCombine, ComputeSideCorruptionRecoversWithoutTheWire) {
   EXPECT_GT(max_abs_err(blind.rank0_output, reference), envelope);
 }
 
+TEST(PoisonedCombine, AnArmedThreadStillPoisonsPipelineFourCombines) {
+  // Pipeline 4 normally runs the fused block kernel, which has no seam
+  // between the overflow guard and the encode; a thread with an armed
+  // injector keeps the unfused path, so every combined block still passes
+  // through maybe_poison_combine and the folded digests see the damage.
+  const std::vector<float> f0 = test_field(DatasetId::kCesmAtm, 6000, 0);
+  const std::vector<float> f1 = test_field(DatasetId::kCesmAtm, 6000, 1);
+  const CompressedBuffer a = fz_compress(f0, digest_params(1e-3));
+  const CompressedBuffer b = fz_compress(f1, digest_params(1e-3));
+  HzPipelineStats clean_stats;
+  const CompressedBuffer clean = hz_add(a, b, &clean_stats, /*num_threads=*/1);
+  ASSERT_GT(clean_stats.p4, 0u);
+  EXPECT_TRUE(fz_verify_digests(clean).ok);
+
+  integrity::SdcInjector inj;
+  inj.seed = 11;
+  inj.poison = 1.0;
+  HzPipelineStats poisoned_stats;
+  CompressedBuffer poisoned;
+  {
+    const integrity::ScopedSdcInjector scoped(&inj);
+    poisoned = hz_add(a, b, &poisoned_stats, /*num_threads=*/1);
+  }
+  EXPECT_EQ(inj.counter, clean_stats.p4) << "one injector decision per pipeline-4 block";
+  EXPECT_GT(inj.injected, 0u);
+  EXPECT_EQ(poisoned_stats.p4, clean_stats.p4);
+  EXPECT_EQ(poisoned_stats.p4_elements, clean_stats.p4_elements);
+  EXPECT_EQ(poisoned.bytes.size(), clean.bytes.size()) << "sign flips keep every block's size";
+  EXPECT_NE(poisoned.bytes, clean.bytes);
+  const DigestCheck check = fz_verify_digests(poisoned);
+  EXPECT_TRUE(check.checked);
+  EXPECT_FALSE(check.ok) << "the folded digests must expose the poisoned lanes";
+
+  // Disarmed again, the same thread is back on the fused path and
+  // reproduces the clean bytes.
+  EXPECT_EQ(hz_add(a, b, nullptr, /*num_threads=*/1).bytes, clean.bytes);
+
+  // End to end: per-round verify catches the poisoned combines of an
+  // hZCCL ring allreduce (every combine on cesm_atm is pipeline 4).
+  JobConfig config;
+  config.nranks = 4;
+  config.abs_error_bound = 1e-3;
+  config.verify = VerifyPolicy::kPerRound;
+  config.faults.seed = 3;
+  config.faults.poison = 0.2;
+  const RankInputFn inputs = [](int rank) {
+    return test_field(DatasetId::kCesmAtm, 6000, static_cast<uint32_t>(rank));
+  };
+  const JobResult r = run_collective(Kernel::kHzcclSingleThread, Op::kAllreduce, config, inputs);
+  EXPECT_GT(r.integrity.poisoned_combines, 0u);
+  EXPECT_GT(r.integrity.mismatches, 0u);
+  EXPECT_LE(max_abs_err(r.rank0_output, exact_reduction(config.nranks, inputs)),
+            3.0 * config.nranks * config.abs_error_bound + 1e-6);
+}
+
 TEST(IntegrityStats, CountersStayInternallyConsistent) {
   const RankInputFn inputs = sweep_inputs(6000);
   JobConfig config;

@@ -19,6 +19,8 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "hzccl/compressor/fixed_len.hpp"
@@ -191,6 +193,182 @@ TEST(KernelConformance, CombineResidualsMatchesScalarOracle) {
       check_combine(vec, ref, ra, rb, +1);
       check_combine(vec, ref, ra, rb, -1);
       if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused pipeline-4 block combine: every level against the unfused codec
+// sequence (decode_block x2, hz_combine_residuals, encode_block_prepared),
+// byte for byte, including the bytes past the block and the guard.
+// ---------------------------------------------------------------------------
+
+/// A random encoded residual block of n values at code length c: every
+/// payload bit random, padding bits included (decoders must ignore them).
+std::vector<uint8_t> random_block(size_t n, int c, Prng& rng) {
+  std::vector<uint8_t> block(encoded_block_size(c, n));
+  block[0] = static_cast<uint8_t>(c);
+  for (size_t i = 1; i < block.size(); ++i) block[i] = static_cast<uint8_t>(rng.u32());
+  return block;
+}
+
+/// The unfused sequence hz_add/hz_sub ran before the slot existed; nullopt
+/// when the guard rejects the sum.
+std::optional<std::vector<uint8_t>> unfused_combine(const std::vector<uint8_t>& a,
+                                                    const std::vector<uint8_t>& b, size_t n,
+                                                    int sign_b, uint64_t* guard) {
+  std::vector<int32_t> ra(n), rb(n);
+  std::vector<uint32_t> mags(n), signs(n);
+  (void)decode_block(a.data(), a.data() + a.size(), n, ra.data());
+  (void)decode_block(b.data(), b.data() + b.size(), n, rb.data());
+  *guard = kernels::table(DispatchLevel::kScalar)
+               .hz_combine_residuals(ra.data(), rb.data(), n, sign_b, mags.data(), signs.data());
+  if (*guard > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) return std::nullopt;
+  std::vector<uint8_t> out(max_encoded_block_size(n));
+  const uint8_t* end = encode_block_prepared(mags.data(), signs.data(), n,
+                                             code_length_for(static_cast<uint32_t>(*guard)),
+                                             out.data(), out.data() + out.size());
+  out.resize(static_cast<size_t>(end - out.data()));
+  return out;
+}
+
+/// Runs `t`'s slot on (a, b) copied to the given misalignments and checks
+/// it against the unfused sequence: same bytes, same end pointer, same
+/// guard, nothing written past the block (nullptr when the guard trips).
+void check_combine_block(const KernelTable& t, const std::vector<uint8_t>& a,
+                         const std::vector<uint8_t>& b, size_t n, int sign_b, size_t misalign) {
+  uint64_t want_guard = 0;
+  const std::optional<std::vector<uint8_t>> want = unfused_combine(a, b, n, sign_b, &want_guard);
+  std::vector<uint8_t> in_a(a.size() + misalign), in_b(b.size() + misalign + 1);
+  std::copy(a.begin(), a.end(), in_a.begin() + static_cast<std::ptrdiff_t>(misalign));
+  std::copy(b.begin(), b.end(), in_b.begin() + static_cast<std::ptrdiff_t>(misalign) + 1);
+  const size_t cap = max_encoded_block_size(n);
+  std::vector<uint8_t> out(cap + 2 * misalign + 16, kGuardByte);
+  uint8_t* const dst = out.data() + 2 * misalign;
+  uint64_t guard = ~uint64_t{0};
+  const uint8_t* end = t.hz_combine_block(in_a.data() + misalign, in_b.data() + misalign + 1, n,
+                                          sign_b, dst, &guard);
+  const auto where = [&] {
+    return std::string("level=") + kernels::level_name(t.level) + " n=" + std::to_string(n) +
+           " c=" + std::to_string(a[0]) + "," + std::to_string(b[0]) +
+           " sign_b=" + std::to_string(sign_b) + " misalign=" + std::to_string(misalign);
+  };
+  ASSERT_EQ(guard, want_guard) << where();
+  if (!want) {
+    ASSERT_EQ(end, nullptr) << "guard tripped but the kernel returned a block: " << where();
+    return;
+  }
+  ASSERT_NE(end, nullptr) << where();
+  ASSERT_EQ(static_cast<size_t>(end - dst), want->size()) << where();
+  ASSERT_EQ(std::memcmp(dst, want->data(), want->size()), 0) << "bytes differ: " << where();
+  for (size_t i = 0; i < 2 * misalign; ++i) ASSERT_EQ(out[i], kGuardByte) << where();
+  for (size_t i = 2 * misalign + want->size(); i < out.size(); ++i) {
+    ASSERT_EQ(out[i], kGuardByte) << "wrote past the block: " << where();
+  }
+}
+
+TEST(KernelConformance, CombineBlockMatchesUnfusedSequenceForEveryCodeLengthPair) {
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    Prng rng(/*seed=*/0xB10C4u, /*stream=*/static_cast<uint64_t>(lvl));
+    for (int ca = 1; ca <= kMaxCodeLength; ++ca) {
+      for (int cb = 1; cb <= kMaxCodeLength; ++cb) {
+        const std::vector<uint8_t> a = random_block(32, ca, rng);
+        const std::vector<uint8_t> b = random_block(32, cb, rng);
+        for (const int sign_b : {+1, -1}) {
+          check_combine_block(t, a, b, 32, sign_b, static_cast<size_t>(ca + cb) % 4);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, CombineBlockMatchesUnfusedSequenceOnTails) {
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    Prng rng(/*seed=*/0x7A11u, /*stream=*/static_cast<uint64_t>(lvl));
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{31}, size_t{33}, size_t{64},
+                           size_t{512}}) {
+      for (int ca = 1; ca <= kMaxCodeLength; ca += (n > 64 ? 3 : 1)) {
+        for (int cb = 1; cb <= kMaxCodeLength; cb += (n > 64 ? 3 : 1)) {
+          const std::vector<uint8_t> a = random_block(n, ca, rng);
+          const std::vector<uint8_t> b = random_block(n, cb, rng);
+          for (const int sign_b : {+1, -1}) {
+            check_combine_block(t, a, b, n, sign_b, rng.u32() % 8u);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, CombineBlockCancelsToAConstantBlock) {
+  // a - a and a + (-a) are all-zero sums: a one-byte code-length-0 block.
+  Prng rng(/*seed=*/0xCA9Cu, /*stream=*/0);
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    for (const size_t n : {size_t{1}, size_t{8}, size_t{32}, size_t{33}, size_t{512}}) {
+      for (const int c : {1, 5, 8, 13, 30, 31}) {
+        const std::vector<uint8_t> a = random_block(n, c, rng);
+        std::vector<int32_t> r(n);
+        (void)decode_block(a.data(), a.data() + a.size(), n, r.data());
+        for (int32_t& v : r) v = -v;
+        std::vector<uint8_t> neg(max_encoded_block_size(n));
+        neg.resize(static_cast<size_t>(
+            encode_block(r.data(), n, neg.data(), neg.data() + neg.size()) - neg.data()));
+        if (neg[0] == 0) continue;  // an all-zero random block
+        check_combine_block(t, a, a, n, -1, 1);
+        check_combine_block(t, a, neg, n, +1, 2);
+        std::vector<uint8_t> out(max_encoded_block_size(n));
+        uint64_t guard = 1;
+        EXPECT_EQ(t.hz_combine_block(a.data(), a.data(), n, -1, out.data(), &guard),
+                  out.data() + 1);
+        EXPECT_EQ(out[0], 0);
+        EXPECT_EQ(guard, 0u);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, CombineBlockRejectsSumsPastTheInt32Guard) {
+  // Lanes at the edge of the 31-bit magnitude domain: INT32_MAX itself still
+  // encodes (code length 31), one more trips the guard and returns nullptr.
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  const auto block_of = [](const std::vector<int32_t>& r) {
+    std::vector<uint8_t> out(max_encoded_block_size(r.size()));
+    out.resize(static_cast<size_t>(
+        encode_block(r.data(), r.size(), out.data(), out.data() + out.size()) - out.data()));
+    return out;
+  };
+  for (DispatchLevel lvl : kernels::supported_levels()) {
+    const KernelTable& t = kernels::table(lvl);
+    for (const size_t n : {size_t{1}, size_t{31}, size_t{32}, size_t{33}, size_t{512}}) {
+      for (const size_t lane : {size_t{0}, n / 2, n - 1}) {
+        std::vector<int32_t> ra(n, 3), rb(n, -2);
+        ra[lane] = kMax - 5;
+        for (const int32_t delta : {4, 5, 6}) {
+          rb[lane] = delta;
+          for (const int sign : {+1, -1}) {
+            // sign -1 mirrors the edge: -(kMax - 5) - delta.
+            std::vector<int32_t> sa = ra;
+            if (sign < 0) {
+              for (int32_t& v : sa) v = -v;
+            }
+            check_combine_block(t, block_of(sa), block_of(rb), n, sign, lane % 4);
+            if (HasFatalFailure()) return;
+          }
+        }
+        // Both operands at 30 bits: the largest sum the n = 32 vector path
+        // takes in registers, still inside the domain.
+        std::vector<int32_t> big(n, (1 << 30) - 1);
+        check_combine_block(t, block_of(big), block_of(big), n, +1, 0);
+        std::vector<int32_t> small(n, -((1 << 30) - 1));
+        check_combine_block(t, block_of(big), block_of(small), n, -1, 3);
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }

@@ -104,6 +104,7 @@ TEST(KernelDispatch, SupportedTablesAreFullyPopulated) {
     EXPECT_NE(t.fz_predict, nullptr);
     EXPECT_NE(t.szx_scan, nullptr);
     EXPECT_NE(t.crc32c, nullptr);
+    EXPECT_NE(t.hz_combine_block, nullptr);
   }
 }
 

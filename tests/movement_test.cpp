@@ -44,8 +44,11 @@ INSTANTIATE_TEST_SUITE_P(RootsAndSizes, BcastSweep,
                          [](const auto& pinfo) {
                            // Root seeds are taken modulo nranks in the body; keep the raw
                            // seed in the name so small rank counts stay unique.
-                           return "n" + std::to_string(std::get<0>(pinfo.param)) + "_rootseed" +
-                                  std::to_string(std::get<1>(pinfo.param));
+                           std::string name = "n";
+                           name += std::to_string(std::get<0>(pinfo.param));
+                           name += "_rootseed";
+                           name += std::to_string(std::get<1>(pinfo.param));
+                           return name;
                          });
 
 TEST(Movement, BcastRootBeyondSizeWraps) {

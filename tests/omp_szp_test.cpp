@@ -146,7 +146,7 @@ TEST(OmpSzp, RejectsFzStream) {
   const std::vector<float> data(100, 1.0f);
   FzParams fp;
   const CompressedBuffer fz = fz_compress(data, fp);
-  EXPECT_THROW(parse_szp(fz.bytes), FormatError);
+  EXPECT_THROW((void)parse_szp(fz.bytes), FormatError);
 }
 
 TEST(OmpSzp, CorruptMetadataRejected) {
@@ -155,7 +155,7 @@ TEST(OmpSzp, CorruptMetadataRejected) {
   params.abs_error_bound = abs_bound_from_rel(data, 1e-3);
   CompressedBuffer s = szp_compress(data, params);
   s.bytes[sizeof(FzHeader)] = 77;  // invalid code length (not 0xFF, > 31)
-  EXPECT_THROW(parse_szp(s.bytes), FormatError);
+  EXPECT_THROW((void)parse_szp(s.bytes), FormatError);
 }
 
 TEST(OmpSzp, TruncatedPayloadRejected) {

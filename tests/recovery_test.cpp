@@ -153,7 +153,7 @@ TEST(Recovery, WithoutRetryTheJobPropagatesTheTypedError) {
   config.faults = rank_fault_plan(13, "crash@rank=2,op=6");
   const RankInputFn inputs = field_inputs(4000);
   try {
-    run_collective(Kernel::kMpi, Op::kAllreduce, config, inputs);
+    (void)run_collective(Kernel::kMpi, Op::kAllreduce, config, inputs);
     FAIL() << "expected RankFailedError";
   } catch (const RankFailedError& e) {
     EXPECT_EQ(e.failed_ranks(), std::vector<int>{2});
@@ -355,8 +355,8 @@ std::vector<RecoveryCase> recovery_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, RecoverySweepTest, ::testing::ValuesIn(recovery_cases()),
-                         [](const auto& info) {
-                           const RecoveryCase& c = info.param;
+                         [](const auto& case_info) {
+                           const RecoveryCase& c = case_info.param;
                            std::string name = kernel_name(c.kernel) + "_" + op_name(c.op) +
                                               "_N" + std::to_string(c.nranks) + "_op" +
                                               std::to_string(c.crash_op) +

@@ -118,7 +118,7 @@ TEST(SzxLike, RejectsBadParameters) {
 TEST(SzxLike, RejectsForeignStreams) {
   const std::vector<float> data(100, 1.0f);
   const CompressedBuffer fz = fz_compress(data, FzParams{});
-  EXPECT_THROW(parse_szx(fz.bytes), FormatError);
+  EXPECT_THROW((void)parse_szx(fz.bytes), FormatError);
 }
 
 TEST(SzxLike, CorruptMetadataRejected) {
@@ -127,7 +127,7 @@ TEST(SzxLike, CorruptMetadataRejected) {
   params.abs_error_bound = abs_bound_from_rel(data, 1e-3);
   CompressedBuffer c = szx_compress(data, params);
   c.bytes[sizeof(FzHeader)] = 9;  // invalid kept-byte count
-  EXPECT_THROW(parse_szx(c.bytes), FormatError);
+  EXPECT_THROW((void)parse_szx(c.bytes), FormatError);
 }
 
 TEST(SzxLike, TruncatedPayloadRejected) {

@@ -191,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(AllDatasets, AlgoIdentityTest, ::testing::ValuesIn([] {
                            return std::vector<DatasetId>(all_datasets().begin(),
                                                          all_datasets().end());
                          }()),
-                         [](const auto& info) { return dataset_slug(info.param); });
+                         [](const auto& case_info) { return dataset_slug(case_info.param); });
 
 TEST(Algos, UncompressedVariantsAgreeWithinFloatAssociativity) {
   // The raw (kMpi) dispatch reassociates float adds, so exactness is only
